@@ -451,10 +451,72 @@ let run_alloc_gate () =
   ignore (Sys.opaque_identity cells);
   ok
 
+(* ------------------------------------------------------------------ *)
+(* Part 4b: idle/wake gate                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Idle dispatchers and workers must park (Parker), and a parked one must
+   still wake for the next request.  Single requests ping-pong through a
+   default 2-shard Sharded_runtime, alternating shards, with a sleep far
+   past Parker.spin_budget before each, so every request wakes a parked
+   shard dispatcher and worker: wake-to-run is schedule → body start.
+   Idle CPU is process CPU over wall time while the runtime sits parked;
+   the gate fails above 0.1 cores (a spinning runtime reads ~2). *)
+let run_idle_wake_gate () =
+  print_endline "=== Idle/wake gate (parked Sharded_runtime ping-pong) ===";
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
+  let rt = Core.Sharded_runtime.create ~shards:2 () in
+  (* one cell homed on each shard *)
+  let rec homed shard =
+    let c = Core.Resource.create 0 in
+    if Core.Sharded_runtime.shard_of_slot rt (Core.Resource.slot c) = shard then c
+    else homed shard
+  in
+  let cells = [| homed 0; homed 1 |] in
+  let fps = Array.map (fun c -> Core.Footprint.of_slots [ Core.Resource.slot c ]) cells in
+  let started = Atomic.make 0.0 in
+  let samples = 200 in
+  let wake_us =
+    Array.init samples (fun i ->
+        Thread.delay 0.002;
+        Atomic.set started 0.0;
+        let t0 = Unix.gettimeofday () in
+        Core.Sharded_runtime.schedule rt fps.(i land 1) (fun () ->
+            Atomic.set started (Unix.gettimeofday ()));
+        while Atomic.get started = 0.0 do
+          Thread.delay 20e-6
+        done;
+        (Atomic.get started -. t0) *. 1e6)
+  in
+  Thread.delay 0.05;
+  let c0 = cpu () and w0 = Unix.gettimeofday () in
+  Thread.delay 0.5;
+  let idle_cores = (cpu () -. c0) /. (Unix.gettimeofday () -. w0) in
+  Core.Sharded_runtime.drain rt;
+  Core.Sharded_runtime.shutdown rt;
+  Array.sort compare wake_us;
+  let pct q = wake_us.(min (samples - 1) (int_of_float (q *. float_of_int samples))) in
+  let budget = 0.1 in
+  let ok = idle_cores <= budget in
+  St.Table.print
+    ~header:[ "measure"; "value" ]
+    [
+      [ "wake-to-run p50 (us)"; Printf.sprintf "%.1f" (pct 0.5) ];
+      [ "wake-to-run p99 (us)"; Printf.sprintf "%.1f" (pct 0.99) ];
+      [ "idle cpu (cores)"; Printf.sprintf "%.3f" idle_cores ];
+    ];
+  Printf.printf "idle cpu %.3f cores <= budget %.2f: %s\n\n%!" idle_cores budget
+    (if ok then "PASS" else "FAIL");
+  ok
+
 let run_gates () =
   let obs_ok = run_obs_overhead_gate () in
   let alloc_ok = run_alloc_gate () in
-  if not (obs_ok && alloc_ok) then exit 1
+  let idle_ok = run_idle_wake_gate () in
+  if not (obs_ok && alloc_ok && idle_ok) then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Part 5: sharded-scaling sweep (simulated, EXPERIMENTS.md table)     *)

@@ -4,12 +4,13 @@
    from one integer seed — which case to fuzz, which legal schedule the
    runnable set takes (scan-order rotations, spurious queue full/empty,
    worker stalls), and which harmless timing faults fire (dropped
-   prefetches, straggler requests).  The oracle is serial equivalence:
-   the fuzzed parallel run must match serial execution of the same log
-   bit for bit, plus application invariants, plus — on a sample of seeds
-   — the footprint sanitizer and happens-before checker.  Each seed also
-   drives a simulation-level scheduler model with exact work-conservation
-   and per-key serialisation oracles.
+   prefetches, straggler requests, idle gaps that park every consumer).
+   The oracle is serial equivalence: the fuzzed parallel run must match
+   serial execution of the same log bit for bit, plus application
+   invariants, plus — on a sample of seeds — the footprint sanitizer and
+   happens-before checker.  Each seed also drives a simulation-level
+   scheduler model with exact work-conservation and per-key
+   serialisation oracles.
 
    A failing seed is shrunk (shortest failing log prefix, fewest
    perturbation classes) and reported as a paste-ready --replay line.
@@ -75,7 +76,7 @@ let disable_arg =
     value
     & opt (list string) []
     & info [ "disable" ] ~docv:"CLASS,..."
-        ~doc:"Perturbation classes to disable (rotate, stall, qfault, prefetch, straggler) — \
+        ~doc:"Perturbation classes to disable (rotate, stall, qfault, prefetch, straggler, park) — \
               what a shrunk repro line passes.")
 
 let no_shrink_arg =

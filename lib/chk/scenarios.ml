@@ -1,7 +1,8 @@
 (* Bounded scenarios over the REAL lock-free kernel code.
 
    Every scenario instantiates the production functor ([Spsc.Make],
-   [Mpmc.Make], [Node.Make], [Sequencer.Publication.Make]) with the
+   [Mpmc.Make], [Node.Make], [Sequencer.Publication.Make],
+   [Waitset.Make], [Parker.Make]) with the
    traced atomic, so the checker enumerates interleavings of exactly the
    shipped algorithms — no reimplemented models.  Scenarios use only the
    bounded, non-blocking operations (try_push / pop_into / batches):
@@ -21,6 +22,7 @@ module Mpmc = Doradd_queue.Mpmc.Make (Tatomic)
 module Node = Doradd_core.Node.Make (Tatomic)
 module Pub = Doradd_replication.Sequencer.Publication.Make (Tatomic)
 module Waitset = Doradd_core.Waitset.Make (Tatomic)
+module Parker = Doradd_queue.Parker.Make (Tatomic)
 
 type t = {
   name : string;
@@ -404,6 +406,55 @@ let suspend_handoff_make park_fn ~bound () =
           (List.length !batches));
   }
 
+(* -- parker hand-off (spin-then-park eventcount) ----------------------- *)
+
+(* The idle protocol of the served-path consumers (sequencer, shard
+   dispatcher, workers): a consumer that polled an empty queue calls
+   prepare, re-checks the queue exactly as [Parker.idle]'s [ready] does,
+   and either cancels or sleeps on the ticket; the producer pushes, then
+   notifies.  The checker cannot block a process, so "sleeps" is
+   recorded as the decision with its ticket, leaving the waiter
+   registered as a sleeping consumer would.  Lost wakeup: the consumer
+   decided to sleep, the producer has finished, the item is still queued
+   and the epoch never moved past the ticket — [wait] would block
+   forever.  The planted twin reads the waiter count before the push
+   ([unsafe_notify_early]). *)
+let parker_handoff_make notify ~bound:_ () =
+  let q = Spsc.create ~dummy:0 ~capacity:2 in
+  let p = Parker.create () in
+  let got = ref 0 and slept = ref None in
+  let producer () = notify p ~publish:(fun () -> ignore (Spsc.try_push q 1)) in
+  let consumer () =
+    let out = Spsc.make_out q in
+    if Spsc.pop_into q out then got := out.Spsc.value
+    else begin
+      let ticket = Parker.prepare p in
+      if Spsc.length q > 0 then begin
+        Parker.cancel p;
+        if Spsc.pop_into q out then got := out.Spsc.value
+      end
+      else slept := Some ticket
+    end
+  in
+  {
+    Engine.processes = [| producer; consumer |];
+    final_check =
+      (fun () ->
+        match !slept with
+        | Some ticket ->
+          Tatomic.check "parker-lost-wakeup" (Parker.signalled p ticket || Spsc.length q = 0)
+        | None -> Tatomic.check "parker-consumed" (!got = 1));
+    digest =
+      (fun () ->
+        Printf.sprintf "got=%d slept=%s queued=%d" !got
+          (match !slept with Some t -> string_of_int t | None -> "-")
+          (Spsc.length q));
+  }
+
+let notify_after_publish p ~publish =
+  publish ();
+  Parker.notify p
+
 (* -- registry --------------------------------------------------------- *)
 
 let all : t list =
@@ -472,6 +523,13 @@ let all : t list =
       make = (fun ~bound -> suspend_handoff_make Waitset.park ~bound);
     };
     {
+      name = "parker-handoff";
+      descr = "parker prepare/re-check vs push/notify: an idle consumer never sleeps on a queued item";
+      planted = false;
+      expect = None;
+      make = parker_handoff_make notify_after_publish;
+    };
+    {
       name = "planted-mpmc-cap1";
       descr = "PLANTED: capacity-1 ring without the >=2 rounding (pre-fix Vyukov overwrite)";
       planted = true;
@@ -502,6 +560,13 @@ let all : t list =
       planted = true;
       expect = Some "suspend-lost-wakeup";
       make = (fun ~bound -> suspend_handoff_make Waitset.unsafe_park_lossy ~bound);
+    };
+    {
+      name = "planted-lost-wakeup";
+      descr = "PLANTED: producer reads the waiter count before publishing its push";
+      planted = true;
+      expect = Some "parker-lost-wakeup";
+      make = parker_handoff_make Parker.unsafe_notify_early;
     };
   ]
 

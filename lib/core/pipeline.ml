@@ -64,6 +64,7 @@ let start ?(queue_depth = 4) ?(max_batch = 8) ?(input_capacity = 1024) ~stages ~
   let n_groups = List.length groups in
   let ring_cap = Ring.min_capacity ~stages:n_groups ~queue_depth ~max_batch in
   let ring = Ring.create ~capacity:ring_cap service.Service.entry_create in
+  let ring_cap = Ring.capacity ring in
   let input = Mpmc.create ~dummy:service.Service.dummy_input ~capacity:input_capacity in
   let stop = Atomic.make false in
   let spawned = Atomic.make 0 in
@@ -85,11 +86,21 @@ let start ?(queue_depth = 4) ?(max_batch = 8) ?(input_capacity = 1024) ~stages ~
     let running = ref true in
     let batch = ref 0 in
     let continue = ref true in
+    let ring_full = ref false in
     while !running do
       batch := 0;
       continue := true;
+      ring_full := false;
       while !batch < max_batch && !continue do
-        if Mpmc.pop_into input in_out then begin
+        (* Flow control: slot [seq + batch] still holds entry
+           [seq + batch - ring_cap] until the Spawner has consumed it.
+           Interior stages coalesce queued counts, so no fixed ring size
+           bounds the entries in flight; waiting on [spawned] does. *)
+        if !seq + !batch - Atomic.get spawned >= ring_cap then begin
+          ring_full := true;
+          continue := false
+        end
+        else if Mpmc.pop_into input in_out then begin
           let entry = Ring.get ring (!seq + !batch) in
           service.Service.inject entry in_out.Mpmc.value;
           in_out.Mpmc.value <- in_dummy;
@@ -105,7 +116,7 @@ let start ?(queue_depth = 4) ?(max_batch = 8) ?(input_capacity = 1024) ~stages ~
         if not is_last then Spsc.push_with links.(0) fwd_bo !batch;
         seq := !seq + !batch
       end
-      else if Atomic.get stop then begin
+      else if (not !ring_full) && Atomic.get stop then begin
         if not is_last then Spsc.push_with links.(0) fwd_bo eos;
         running := false
       end

@@ -13,10 +13,12 @@ type fuzz = {
 
 module Mpmc = Doradd_queue.Mpmc
 module Backoff = Doradd_queue.Backoff
+module Parker = Doradd_queue.Parker
 module Obs = Doradd_obs
 
 type t = {
   queues : Node.t Mpmc.t array;
+  parker : Parker.t; (* idle workers sleep here; every placement notifies *)
   mutable rr : int; (* only the single logical dispatcher advances this *)
   disp_backoff : Backoff.t; (* dispatcher-only, reused across pushes *)
   mutable on_failure : Node.t -> exn -> unit; (* inline-execution failure hook *)
@@ -35,6 +37,7 @@ let create ~workers ~queue_capacity =
   if workers <= 0 then invalid_arg "Runnable_set.create";
   {
     queues = Array.init workers (fun _ -> Mpmc.create ~dummy:Node.dummy ~capacity:queue_capacity);
+    parker = Parker.create ();
     rr = 0;
     disp_backoff = Backoff.create ();
     on_failure = (fun _ _ -> ());
@@ -43,6 +46,8 @@ let create ~workers ~queue_capacity =
   }
 
 let workers t = Array.length t.queues
+
+let parker t = t.parker
 
 let set_inline_hooks t ~on_failure ~on_complete =
   t.on_failure <- on_failure;
@@ -56,10 +61,16 @@ let set_fuzz t fuzz =
 
 let size t = Array.fold_left (fun acc q -> acc + Mpmc.length q) 0 t.queues
 
-(* Scan the queues once from [start]; [true] if [node] was placed. *)
+(* Scan the queues once from [start]; [true] if [node] was placed.  Every
+   successful placement — dispatcher push, worker push, overflow re-offer,
+   Effects resume — notifies after the push is published, so a parked
+   worker cannot sleep through it. *)
 let rec try_place t node start i n =
   if i >= n then false
-  else if Mpmc.try_push t.queues.((start + i) mod n) node then true
+  else if Mpmc.try_push t.queues.((start + i) mod n) node then begin
+    Parker.notify t.parker;
+    true
+  end
   else try_place t node start (i + 1) n
 
 (* Overflow path: every queue was full when [push_worker] scanned.  Run
@@ -136,7 +147,10 @@ let run_overflow t ~worker node =
    paper's bounded queues give.  Top-level recursion (compiled to a jump)
    instead of a local closure: this is the per-request dispatch path. *)
 let rec disp_place t node n attempts idx =
-  if Mpmc.try_push t.queues.(idx) node then t.rr <- (idx + 1) mod n
+  if Mpmc.try_push t.queues.(idx) node then begin
+    t.rr <- (idx + 1) mod n;
+    Parker.notify t.parker
+  end
   else if attempts + 1 >= n then begin
     Backoff.once t.disp_backoff;
     disp_place t node n 0 ((idx + 1) mod n)

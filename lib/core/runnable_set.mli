@@ -29,6 +29,11 @@ val create : workers:int -> queue_capacity:int -> t
 
 val workers : t -> int
 
+val parker : t -> Doradd_queue.Parker.t
+(** The eventcount idle workers sleep on.  Every placement ({!push_dispatcher},
+    {!push_worker}, including the overflow path's re-offers) notifies it
+    after publishing the node. *)
+
 val set_fuzz : t -> fuzz option -> unit
 (** Install (or clear) the fuzz hooks.  Install before the worker domains
     start; the hook functions themselves may be probed concurrently from

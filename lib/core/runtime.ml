@@ -1,4 +1,5 @@
 module Backoff = Doradd_queue.Backoff
+module Parker = Doradd_queue.Parker
 module Obs = Doradd_obs
 
 (* Observability (armed-guarded): worker duty cycle. *)
@@ -11,7 +12,11 @@ let c_worker_idle = Obs.Counters.counter "runtime.worker_idle"
    seeded stalls model straggling, descheduled, or crashed-and-restarted
    workers (a crash window is a stall during which the worker takes no
    work; its queue stays stealable, which is exactly the recovery story). *)
-type fuzz = { rs_fuzz : Runnable_set.fuzz option; stall_spins : (worker:int -> int) option }
+type fuzz = {
+  rs_fuzz : Runnable_set.fuzz option;
+  stall_spins : (worker:int -> int) option;
+  idle_gap : (unit -> float) option; (* dispatcher sleep before a schedule *)
+}
 
 type failure = { seqno : int; exn_ : exn }
 
@@ -23,6 +28,7 @@ type t = {
   completed : int Atomic.t;
   failures : failure list Atomic.t;
   domains : unit Domain.t array;
+  idle_gap : (unit -> float) option; (* DST park class; dispatcher thread *)
   mutable next_seq : int; (* dispatcher-thread private *)
 }
 
@@ -33,8 +39,30 @@ let record_failure failures seqno exn_ =
   in
   add ()
 
-let worker_loop rs ~worker ~stop ~completed ~failures ~stall =
-  let b = Backoff.create () in
+(* Unfinished requests past which the runtime counts as saturated and
+   its idle consumers keep polling instead of parking: more work is
+   bound to become ready soon, and a park there only adds a wake-up
+   whose delay depends on the host.  On the served path each shard
+   holds 600–900 unfinished requests at saturation and under 10 at
+   7–8 k req/s.  A shard that polls serves 8 k req/s at about 17 ms,
+   i.e. about 140 unfinished, still under the threshold, so a burst
+   does not latch the shard into polling. *)
+let saturation = 256
+
+let saturated_counts ~scheduled ~completed =
+  Atomic.get scheduled - Atomic.get completed >= saturation
+
+let worker_loop rs ~worker ~stop ~scheduled ~completed ~failures ~stall =
+  (* Idle policy: back off, then park on the runnable set's eventcount
+     once the spin budget is spent, unless the runtime is saturated.
+     The pre-sleep re-check covers both wake sources — a placement
+     (every one notifies) and [shutdown] (which sets [stop] before
+     notifying). *)
+  let idle =
+    Parker.idle (Runnable_set.parker rs)
+      ~hold:(fun () -> saturated_counts ~scheduled ~completed)
+      ~ready:(fun () -> Runnable_set.size rs > 0 || Atomic.get stop)
+  in
   (* Per-worker reusable state, so the steady-state loop allocates
      nothing: one out-cell for pops and one on_ready closure shared by
      every completion. *)
@@ -64,7 +92,7 @@ let worker_loop rs ~worker ~stop ~completed ~failures ~stall =
         Node.complete node ~on_ready;
         Node.recycle node;
         Atomic.incr completed;
-        Backoff.reset b
+        Parker.progress idle
       | `Yielded ->
         (* park the procedure back in the runnable set; its dependents
            stay blocked until it finishes (§6).  A yield is a wait, not
@@ -74,21 +102,21 @@ let worker_loop rs ~worker ~stop ~completed ~failures ~stall =
            hot-cycling pop/park — on an oversubscribed host the partner
            can only arrive if this domain gives up the CPU. *)
         Runnable_set.push_worker rs ~worker node;
-        Backoff.once b
+        Parker.pause idle
       | `Suspended ->
         (* The step captured its continuation on a fiber and parked it on
            a wait-set (Effects).  The node is out of the runnable set and
            out of our hands — the resume closure may already be running
            it on another domain — so touch nothing and move on.  Real
            work happened (a partial body), so reset the backoff. *)
-        Backoff.reset b);
+        Parker.progress idle);
       loop ()
     end
     else begin
       if Atomic.get Obs.Trace.armed then Obs.Counters.incr c_worker_idle;
       if Atomic.get stop then ()
       else begin
-        Backoff.once b;
+        Parker.pause idle;
         loop ()
       end
     end
@@ -111,6 +139,7 @@ let create ?workers ?(queue_capacity = 4096) ?fuzz () =
   let pool_nodes = min 65_536 ((queue_capacity * workers) + 1024) in
   let pool = Node.create_pool ~nodes:pool_nodes ~cells:(2 * pool_nodes) in
   let stop = Atomic.make false in
+  let scheduled = Atomic.make 0 in
   let completed = Atomic.make 0 in
   let failures = Atomic.make [] in
   Runnable_set.set_inline_hooks rs
@@ -128,11 +157,15 @@ let create ?workers ?(queue_capacity = 4096) ?fuzz () =
   in
   let domains =
     Array.init workers (fun worker ->
-        Domain.spawn (fun () -> worker_loop rs ~worker ~stop ~completed ~failures ~stall))
+        Domain.spawn (fun () ->
+            worker_loop rs ~worker ~stop ~scheduled ~completed ~failures ~stall))
   in
-  { rs; pool; stop; scheduled = Atomic.make 0; completed; failures; domains; next_seq = 0 }
+  let idle_gap = Option.bind fuzz (fun f -> f.idle_gap) in
+  { rs; pool; stop; scheduled; completed; failures; domains; idle_gap; next_seq = 0 }
 
 let workers t = Runnable_set.workers t.rs
+
+let saturated t = saturated_counts ~scheduled:t.scheduled ~completed:t.completed
 
 (* Sanitized mode: bracket every request step with the per-domain context
    so Resource accessors can validate against the declared footprint.
@@ -174,7 +207,15 @@ let traced_steps ~seqno work =
   in
   wrap ~first:true work
 
+let idle_gap t =
+  match t.idle_gap with
+  | None -> ()
+  | Some gap ->
+    let s = gap () in
+    if s > 0. then Thread.delay s
+
 let schedule t fp work =
+  idle_gap t;
   let seqno = t.next_seq in
   t.next_seq <- seqno + 1;
   Atomic.incr t.scheduled;
@@ -190,6 +231,7 @@ let schedule t fp work =
   Spawner.schedule t.rs node fp
 
 let schedule_steps t fp work =
+  idle_gap t;
   let seqno = t.next_seq in
   t.next_seq <- seqno + 1;
   Atomic.incr t.scheduled;
@@ -216,6 +258,7 @@ let schedule_steps t fp work =
    the handler-free [schedule] fast path is what the 0 B/op gate
    holds. *)
 let schedule_suspendable t fp work =
+  idle_gap t;
   let seqno = t.next_seq in
   t.next_seq <- seqno + 1;
   Atomic.incr t.scheduled;
@@ -268,6 +311,7 @@ let checkpoint t f =
 let shutdown t =
   drain t;
   Atomic.set t.stop true;
+  Parker.notify (Runnable_set.parker t.rs);
   Array.iter Domain.join t.domains
 
 let run_log ?workers ?queue_capacity ?fuzz fp exec log =

@@ -25,11 +25,18 @@ type t
     perturbs runnable-set pick orders and injects queue faults (see
     {!Runnable_set.fuzz}); [stall_spins ~worker] makes worker [worker]
     burn that many backoff iterations before its next pop — seeded stalls
-    model stragglers, descheduling, and crash-restart windows.  Every
-    fuzzed schedule is a legal schedule: the determinism contract must
-    hold under all of them, which is exactly what the DST harness
-    checks. *)
-type fuzz = { rs_fuzz : Runnable_set.fuzz option; stall_spins : (worker:int -> int) option }
+    model stragglers, descheduling, and crash-restart windows;
+    [idle_gap ()] is called by the dispatcher before each schedule and
+    returns seconds to sleep first — gaps longer than
+    {!Doradd_queue.Parker.spin_budget} make the idle workers park and
+    wake mid-run.  Every fuzzed schedule is a legal schedule: the
+    determinism contract must hold under all of them, which is exactly
+    what the DST harness checks. *)
+type fuzz = {
+  rs_fuzz : Runnable_set.fuzz option;
+  stall_spins : (worker:int -> int) option;
+  idle_gap : (unit -> float) option;
+}
 
 val create : ?workers:int -> ?queue_capacity:int -> ?fuzz:fuzz -> unit -> t
 (** Start the worker domains.  [workers] defaults to
@@ -76,6 +83,14 @@ val scheduled : t -> int
 
 val completed : t -> int
 (** Requests fully executed so far. *)
+
+val saturated : t -> bool
+(** At least 256 scheduled requests are unfinished.  While this holds,
+    idle workers (and a {!Sharded_runtime} shard's dispatcher) keep
+    polling instead of parking: work is bound to become ready soon, and
+    parking there made saturated throughput depend on how fast the host
+    wakes a halted core.  Light and moderate load stays far below the
+    threshold, so consumers still park between requests. *)
 
 val failures : t -> (int * exn) list
 (** Requests whose procedure raised, as (log position, exception), in log

@@ -17,6 +17,7 @@
 
 module Spsc = Doradd_queue.Spsc
 module Backoff = Doradd_queue.Backoff
+module Parker = Doradd_queue.Parker
 
 type msg =
   | Single of Footprint.t * (unit -> unit)
@@ -26,6 +27,7 @@ type msg =
 type shard = {
   rt : Runtime.t;
   input : msg Spsc.t;
+  parker : Parker.t; (* the idle dispatcher sleeps here; [push] notifies *)
   consumed : int Atomic.t; (* msgs the dispatcher has fed to its runtime *)
   mutable enqueued : int; (* msgs pushed; sequencer thread only *)
   mutable domain : unit Domain.t option;
@@ -36,6 +38,8 @@ type t = {
   n : int;
   mutable stamps : int; (* global sequence number; sequencer thread only *)
   mutable cross_count : int;
+  mutable extra_parts : int; (* participants beyond one per cross request; sequencer thread only *)
+  idle_gap : (unit -> float) option; (* DST park class; sequencer thread *)
   fail_mu : Mutex.t;
   mutable fails : (int * exn) list; (* (stamp, exn), unordered *)
   mutable live : bool;
@@ -43,29 +47,45 @@ type t = {
 
 let dispatcher_loop sh =
   let out = Spsc.make_out sh.input in
-  let bk = Backoff.create () in
+  let idle =
+    Parker.idle sh.parker
+      ~hold:(fun () -> Runtime.saturated sh.rt)
+      ~ready:(fun () -> Spsc.length sh.input > 0)
+  in
   let rec loop () =
-    match Spsc.pop_with sh.input bk out with
-    | Single (fp, work) ->
-      Runtime.schedule sh.rt fp work;
-      Atomic.incr sh.consumed;
+    if not (Spsc.pop_into sh.input out) then begin
+      Parker.pause idle;
       loop ()
-    | Part (fp, work) ->
-      Runtime.schedule_suspendable sh.rt fp work;
-      Atomic.incr sh.consumed;
-      loop ()
-    | Stop -> Atomic.incr sh.consumed
+    end
+    else begin
+      Parker.progress idle;
+      match out.Spsc.value with
+      | Single (fp, work) ->
+        Runtime.schedule sh.rt fp work;
+        Atomic.incr sh.consumed;
+        loop ()
+      | Part (fp, work) ->
+        Runtime.schedule_suspendable sh.rt fp work;
+        Atomic.incr sh.consumed;
+        loop ()
+      | Stop -> Atomic.incr sh.consumed
+    end
   in
   loop ()
 
 let create ?(workers_per_shard = 1) ?queue_capacity ?(input_capacity = 1024) ?fuzz ~shards ()
     =
   if shards <= 0 then invalid_arg "Sharded_runtime.create";
+  (* The idle gap belongs to the stamping thread: sleeping there leaves
+     every dispatcher and worker of every shard idle at once. *)
+  let idle_gap = Option.bind fuzz (fun (f : Runtime.fuzz) -> f.idle_gap) in
+  let fuzz = Option.map (fun (f : Runtime.fuzz) -> { f with idle_gap = None }) fuzz in
   let shard_tab =
     Array.init shards (fun _ ->
         {
           rt = Runtime.create ~workers:workers_per_shard ?queue_capacity ?fuzz ();
           input = Spsc.create ~dummy:Stop ~capacity:input_capacity;
+          parker = Parker.create ();
           consumed = Atomic.make 0;
           enqueued = 0;
           domain = None;
@@ -77,6 +97,8 @@ let create ?(workers_per_shard = 1) ?queue_capacity ?(input_capacity = 1024) ?fu
       n = shards;
       stamps = 0;
       cross_count = 0;
+      extra_parts = 0;
+      idle_gap;
       fail_mu = Mutex.create ();
       fails = [];
       live = true;
@@ -96,6 +118,7 @@ let record_failure t stamp e =
 
 let push sh msg =
   Spsc.push sh.input msg;
+  Parker.notify sh.parker;
   sh.enqueued <- sh.enqueued + 1
 
 (* Cross-shard barrier.  Each shard's participant runs this step once its
@@ -110,6 +133,7 @@ let push sh msg =
 let schedule_cross t fp body touched =
   t.cross_count <- t.cross_count + 1;
   let parts = List.length touched in
+  t.extra_parts <- t.extra_parts + parts - 1;
   let arrivals = Atomic.make 0 in
   let trig = Effects.trigger () in
   let part () =
@@ -123,8 +147,16 @@ let schedule_cross t fp body touched =
     (fun s -> push t.shard_tab.(s) (Part (Footprint.restrict ~shards:t.n ~shard:s fp, part)))
     touched
 
+let idle_gap t =
+  match t.idle_gap with
+  | None -> ()
+  | Some gap ->
+    let s = gap () in
+    if s > 0. then Thread.delay s
+
 let schedule t fp work =
   if not t.live then invalid_arg "Sharded_runtime.schedule: shut down";
+  idle_gap t;
   let stamp = t.stamps in
   t.stamps <- stamp + 1;
   let body () = try work () with e -> record_failure t stamp e in
@@ -138,6 +170,7 @@ let schedule t fp work =
 
 let schedule_suspendable t fp work =
   if not t.live then invalid_arg "Sharded_runtime.schedule_suspendable: shut down";
+  idle_gap t;
   let stamp = t.stamps in
   t.stamps <- stamp + 1;
   let body () = try work () with e -> record_failure t stamp e in
@@ -159,8 +192,11 @@ let cross t = t.cross_count
 let completed t =
   let parts = Array.fold_left (fun acc sh -> acc + Runtime.completed sh.rt) 0 t.shard_tab in
   (* Each cross-shard request contributes one completed participant per
-     touched shard; subtract the extras so a request counts once. *)
-  parts - (Array.fold_left (fun acc sh -> acc + Runtime.scheduled sh.rt) 0 t.shard_tab - t.stamps)
+     touched shard; subtract the extras so a request counts once.  The
+     extras are counted at stamping time, not from what the dispatchers
+     have scheduled so far: a request still queued in a shard input must
+     not count as complete. *)
+  parts - t.extra_parts
 
 let failures t =
   Mutex.lock t.fail_mu;
@@ -182,11 +218,7 @@ let drain t =
 let shutdown t =
   if t.live then begin
     t.live <- false;
-    Array.iter
-      (fun sh ->
-        Spsc.push sh.input Stop;
-        sh.enqueued <- sh.enqueued + 1)
-      t.shard_tab;
+    Array.iter (fun sh -> push sh Stop) t.shard_tab;
     Array.iter
       (fun sh ->
         (match sh.domain with Some d -> Domain.join d | None -> ());

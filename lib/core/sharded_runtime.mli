@@ -64,7 +64,9 @@ val create :
     per-worker runnable-queue capacity; [input_capacity] (default 1024)
     bounds each sequencer→shard input queue — a full input exerts
     backpressure on the sequencer.  [fuzz] is installed into every
-    shard's runtime (the DST harness fuzzes all shards with one plan).
+    shard's runtime (the DST harness fuzzes all shards with one plan),
+    except its [idle_gap], which runs on the caller's thread before each
+    {!schedule} so that the shard dispatchers idle and park too.
     @raise Invalid_argument if [shards <= 0]. *)
 
 val shards : t -> int

@@ -282,7 +282,7 @@ let deep_chain =
     let base =
       match fuzz with
       | Some f -> f
-      | None -> { Core.Runtime.rs_fuzz = None; stall_spins = None }
+      | None -> { Core.Runtime.rs_fuzz = None; stall_spins = None; idle_gap = None }
     in
     let rs_fuzz =
       match base.Core.Runtime.rs_fuzz with

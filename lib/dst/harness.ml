@@ -71,9 +71,21 @@ let fuzz_of_plan dec (p : Plan.t) : Core.Runtime.fuzz option =
           if Decision.flip s ~per_64k:p.stall_per_64k then p.stall_spins else 0)
     end
   in
-  match (rs_fuzz, stall_spins) with
-  | None, None -> None
-  | _ -> Some { Core.Runtime.rs_fuzz; stall_spins }
+  let idle_gap =
+    if p.park_every <= 0 then None
+    else begin
+      (* bursts of [park_every] requests separated by idle gaps; a count,
+         not a draw, so the gaps fall on the same requests every run *)
+      let scheduled = Atomic.make 0 in
+      let gap = float_of_int p.park_gap_us *. 1e-6 in
+      Some
+        (fun () ->
+          if (Atomic.fetch_and_add scheduled 1 + 1) mod p.park_every = 0 then gap else 0.)
+    end
+  in
+  match (rs_fuzz, stall_spins, idle_gap) with
+  | None, None, None -> None
+  | _ -> Some { Core.Runtime.rs_fuzz; stall_spins; idle_gap }
 
 let arm dec (p : Plan.t) =
   (if p.drop_prefetch_per_64k > 0 then begin

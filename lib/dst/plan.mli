@@ -4,9 +4,10 @@
     A plan never changes {e what} the workload computes — only which legal
     schedule the runtime takes (rotations, stalls, queue faults) and how
     much harmless timing noise is injected (dropped prefetches, straggler
-    requests).  The serial-equivalence oracle must therefore hold under
-    every plan; a plan that makes it fail is a runtime bug, and the
-    shrinker reports the minimal set of perturbation classes needed. *)
+    requests, idle gaps that park the dispatchers and workers).  The
+    serial-equivalence oracle must therefore hold under every plan; a
+    plan that makes it fail is a runtime bug, and the shrinker reports
+    the minimal set of perturbation classes needed. *)
 
 type t = {
   seed : int;
@@ -20,6 +21,8 @@ type t = {
   drop_prefetch_per_64k : int;  (** dropped-prefetch probability *)
   straggler_per_64k : int;  (** straggler-request probability *)
   straggler_spins : int;  (** extra service time per straggler *)
+  park_every : int;  (** dispatcher idles before every k-th request, 0 = off *)
+  park_gap_us : int;  (** idle gap length, far past the consumers' spin budget *)
 }
 
 val derive : seed:int -> t
@@ -31,7 +34,7 @@ val quiet : seed:int -> t
 
 val class_names : string list
 (** The independently-disablable perturbation classes, in shrink order:
-    ["rotate"; "stall"; "qfault"; "prefetch"; "straggler"]. *)
+    ["rotate"; "stall"; "qfault"; "prefetch"; "straggler"; "park"]. *)
 
 val disable : t -> string -> t
 (** Disable one class by name.  @raise Invalid_argument on unknown

@@ -2,8 +2,10 @@
 
     Workers and pipeline stages spin briefly when their queues are empty or
     full; backing off keeps a waiting domain from saturating the memory bus
-    with failed CAS attempts (and, on this 1-core container, from starving
-    the domain that would produce the work). *)
+    with failed CAS attempts (and, on a host with fewer cores than busy
+    domains and threads, from starving the one that would produce the
+    work).  The served path's idle consumers spin only a short budget of
+    these rounds and then park ({!Parker}). *)
 
 type t
 

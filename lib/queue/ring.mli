@@ -8,10 +8,12 @@
     need no per-slot synchronisation — the SPSC queue's release/acquire
     pair orders the in-place writes.
 
-    Capacity bounding: with [s] downstream stages, count-queues of depth
-    [q] and maximum batch [b], at most [s*q*b + b] slots are in flight, so
-    the ring must be at least that large; {!val:create} checks this for the
-    caller via [min_capacity]. *)
+    Capacity: [min_capacity] ([s*q*b + b] for [s] stages, count-queues of
+    depth [q] and maximum batch [b]) sizes the ring, but it does not bound
+    the slots in flight — interior stages coalesce queued counts, so a
+    stage can forward up to [q*b] entries as one count.  The pipeline's
+    RPC handler therefore reuses a slot only once the Spawner has
+    consumed the entry it held. *)
 
 type 'a t
 
@@ -28,4 +30,4 @@ val get : 'a t -> int -> 'a
     protocol above. *)
 
 val min_capacity : stages:int -> queue_depth:int -> max_batch:int -> int
-(** Smallest safe ring capacity for the given pipeline shape. *)
+(** The ring capacity the pipeline allocates for the given shape. *)

@@ -1,5 +1,5 @@
 module Mpmc = Doradd_queue.Mpmc
-module Backoff = Doradd_queue.Backoff
+module Parker = Doradd_queue.Parker
 module Wal = Doradd_persist.Wal
 
 (* The lock-free heart of the sequencer: the append-before-deliver
@@ -57,6 +57,7 @@ type 'req durability = { wal : Wal.t; encode : 'req -> string }
 
 type 'req t = {
   input : 'req option Mpmc.t; (* None = shutdown *)
+  parker : Parker.t; (* the idle sequencer domain sleeps here *)
   domain : unit Domain.t;
   pub : 'req Publication.t;
   wal : Wal.t option;
@@ -68,10 +69,13 @@ let create ?(queue_capacity = 4096) ?durability ?(max_batch = 64) ?(first_seqno 
   if max_batch < 1 then invalid_arg "Sequencer.create: max_batch < 1";
   if first_seqno < 0 then invalid_arg "Sequencer.create: first_seqno < 0";
   let input = Mpmc.create ~dummy:None ~capacity:queue_capacity in
+  let parker = Parker.create () in
   let pub = Publication.create () in
   let domain =
     Domain.spawn (fun () ->
-        let b = Backoff.create () in
+        (* Spin, then park: [submit] and [stop] notify after their push,
+           and the pre-sleep re-check looks at the same queue. *)
+        let idle = Parker.idle parker ~ready:(fun () -> Mpmc.length input > 0) in
         let seqno = ref first_seqno in
         let publish req =
           Publication.publish pub req ~deliver:(fun req ->
@@ -83,12 +87,12 @@ let create ?(queue_capacity = 4096) ?durability ?(max_batch = 64) ?(first_seqno 
           let rec loop () =
             match Mpmc.try_pop input with
             | Some (Some req) ->
-              Backoff.reset b;
+              Parker.progress idle;
               publish req;
               loop ()
             | Some None -> ()
             | None ->
-              Backoff.once b;
+              Parker.pause idle;
               loop ()
           in
           loop ()
@@ -103,12 +107,12 @@ let create ?(queue_capacity = 4096) ?durability ?(max_batch = 64) ?(first_seqno 
             else
               match Mpmc.try_pop input with
               | Some (Some req) ->
-                Backoff.reset b;
+                Parker.progress idle;
                 grab (req :: acc) (n + 1)
               | Some None -> (List.rev acc, true)
               | None ->
                 if acc = [] then begin
-                  Backoff.once b;
+                  Parker.pause idle;
                   grab acc n
                 end
                 else (List.rev acc, false)
@@ -126,11 +130,12 @@ let create ?(queue_capacity = 4096) ?durability ?(max_batch = 64) ?(first_seqno 
           loop ())
   in
   let wal = Option.map (fun (d : _ durability) -> d.wal) durability in
-  { input; domain; pub; wal; stopped = false }
+  { input; parker; domain; pub; wal; stopped = false }
 
 let submit t req =
   if t.stopped then invalid_arg "Sequencer.submit: stopped";
-  Mpmc.push t.input (Some req)
+  Mpmc.push t.input (Some req);
+  Parker.notify t.parker
 
 let delivered t = Publication.delivered t.pub
 
@@ -140,6 +145,7 @@ let stop t =
   if not t.stopped then begin
     t.stopped <- true;
     Mpmc.push t.input None;
+    Parker.notify t.parker;
     Domain.join t.domain
   end
 

@@ -7,6 +7,8 @@
     monotonically increasing sequence numbers, appends each request to a
     retained log, and delivers it — in order, from a single thread — to
     the consumer (typically [Runtime.schedule] or [Pipeline.submit]).
+    An idle sequencer domain spins briefly, then sleeps on a
+    {!Doradd_queue.Parker} until the next {!submit} or {!stop}.
 
     The retained log is the recovery story: {!log} returns the exact
     ordered prefix delivered so far, and replaying it through a fresh

@@ -608,6 +608,179 @@ let prop_runtime_worker_count_invariant =
       a = b)
 
 (* ------------------------------------------------------------------ *)
+(* Spin, then park                                                     *)
+(* ------------------------------------------------------------------ *)
+
+module Obs = Doradd_obs
+module Sequencer = Doradd_replication.Sequencer
+
+let c_sleep = Obs.Counters.counter "parker.sleep"
+
+(* Far past Doradd_queue.Parker.spin_budget: every idle consumer parks. *)
+let idle_period = 0.05
+
+(* Poll [cond] for up to [seconds], so a lost wakeup fails a check
+   instead of hanging the suite. *)
+let within ~seconds cond =
+  let deadline = Unix.gettimeofday () +. seconds in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.001
+  done;
+  cond ()
+
+let returns_within ~seconds f =
+  let finished = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () ->
+        f ();
+        Atomic.set finished true)
+      ()
+  in
+  let ok = within ~seconds (fun () -> Atomic.get finished) in
+  if ok then Thread.join th;
+  ok
+
+(* Start an instance and leave it idle with tracing armed, so Parker
+   counts its sleepers; returns the instance and that count. *)
+let start_idle start =
+  let before = Obs.Counters.value c_sleep in
+  Obs.Trace.arm ();
+  let t =
+    Fun.protect ~finally:Obs.Trace.disarm (fun () ->
+        let t = start () in
+        Thread.delay idle_period;
+        t)
+  in
+  Obs.Trace.clear ();
+  (t, Obs.Counters.value c_sleep - before)
+
+(* Three bursts separated by idle periods: the consumers park between
+   them and every burst has to wake them. *)
+let bursts ~n submit =
+  for i = 0 to n - 1 do
+    if i > 0 && i mod (n / 3) = 0 then Thread.delay idle_period;
+    submit i
+  done
+
+let test_runtime_park_then_burst () =
+  let t, slept = start_idle (fun () -> Runtime.create ~workers:2 ()) in
+  checkb "idle workers parked" true (slept >= 1);
+  let cells = Array.init 8 (fun _ -> Resource.create 0) in
+  let n = 3_000 in
+  bursts ~n (fun i ->
+      let c = cells.(i mod 8) in
+      Runtime.schedule t (Footprint.of_slots [ Resource.slot c ]) (fun () -> Resource.update c succ));
+  checkb "every request completes" true (within ~seconds:10. (fun () -> Runtime.completed t = n));
+  checki "every request applied" n (Array.fold_left (fun a c -> a + Resource.peek c) 0 cells);
+  Thread.delay idle_period;
+  checkb "shutdown of a parked runtime returns within 1 s" true
+    (returns_within ~seconds:1. (fun () -> Runtime.shutdown t))
+
+let test_sharded_park_then_burst () =
+  (* inputs larger than the run, so a dispatcher that never wakes fails
+     the completion check instead of blocking [schedule] *)
+  let t, slept =
+    start_idle (fun () -> Sharded_runtime.create ~input_capacity:4096 ~shards:2 ())
+  in
+  checkb "idle dispatchers and workers parked" true (slept >= 2);
+  let cells = Array.init 8 (fun _ -> Resource.create 0) in
+  let n = 3_000 in
+  (* every fifth request spans two cells, usually on different shards *)
+  bursts ~n (fun i ->
+      let a = cells.(i mod 8) and b = cells.((i + 3) mod 8) in
+      if i mod 5 = 0 then
+        Sharded_runtime.schedule t
+          (Footprint.of_slots [ Resource.slot a; Resource.slot b ])
+          (fun () ->
+            Resource.update a succ;
+            Resource.update b succ)
+      else Sharded_runtime.schedule t (Footprint.of_slots [ Resource.slot a ]) (fun () -> Resource.update a succ));
+  checkb "every request completes" true
+    (within ~seconds:10. (fun () -> Sharded_runtime.completed t = n));
+  checki "every request applied" (n + ((n + 4) / 5))
+    (Array.fold_left (fun a c -> a + Resource.peek c) 0 cells);
+  Thread.delay idle_period;
+  checkb "shutdown of a parked sharded runtime returns within 1 s" true
+    (returns_within ~seconds:1. (fun () -> Sharded_runtime.shutdown t))
+
+(* A saturated runtime (Runtime.saturated) keeps its idle worker
+   polling: one request occupies a worker until released and 300 more
+   wait behind it on the same cell.  A request on another cell then
+   wakes the other worker, which runs it and, with nothing runnable,
+   must not park while the 301 are unfinished.  Once they complete, a
+   worker woken by one more request parks again. *)
+let test_runtime_saturated_polls () =
+  let t = Runtime.create ~workers:2 () in
+  let cell = Resource.create 0 in
+  let fp = Footprint.of_slots [ Resource.slot cell ] in
+  let release = Atomic.make false in
+  let started = Atomic.make false in
+  Runtime.schedule t fp (fun () ->
+      Atomic.set started true;
+      while not (Atomic.get release) do
+        Domain.cpu_relax ()
+      done);
+  let n = 300 in
+  for _ = 1 to n do
+    Runtime.schedule t fp (fun () -> Resource.update cell succ)
+  done;
+  checkb "saturated" true (Runtime.saturated t);
+  checkb "blocker running" true (within ~seconds:5. (fun () -> Atomic.get started));
+  let other = Resource.create 0 in
+  let held, slept =
+    start_idle (fun () ->
+        Runtime.schedule t (Footprint.of_slots [ Resource.slot other ]) (fun () ->
+            Resource.update other succ);
+        Runtime.saturated t)
+  in
+  checki "the other worker ran" 1 (Resource.peek other);
+  Atomic.set release true;
+  checkb "still saturated while held" true held;
+  checki "no worker parked while saturated" 0 slept;
+  checkb "every request completes" true (within ~seconds:10. (fun () -> Runtime.completed t = n + 2));
+  checki "every request applied" n (Resource.peek cell);
+  checkb "no longer saturated" false (Runtime.saturated t);
+  (* one more request wakes a worker, which must park once it is done *)
+  let (), slept =
+    start_idle (fun () ->
+        Runtime.schedule t (Footprint.of_slots [ Resource.slot other ]) (fun () ->
+            Resource.update other succ))
+  in
+  checki "the woken worker ran" 2 (Resource.peek other);
+  checkb "idle workers park again" true (slept >= 1);
+  checkb "shutdown returns within 1 s" true
+    (returns_within ~seconds:1. (fun () -> Runtime.shutdown t))
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let test_sequencer_park_then_burst ~durable () =
+  let dir = Filename.temp_dir "doradd_test_core" "" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let wal = if durable then Some (Doradd_persist.Wal.open_ ~fsync:false ~dir ()) else None in
+  let durability = Option.map (fun wal -> { Sequencer.wal; encode = string_of_int }) wal in
+  let delivered = Atomic.make 0 in
+  let seq, slept =
+    start_idle (fun () ->
+        Sequencer.create ?durability ~deliver:(fun ~seqno:_ _ -> Atomic.incr delivered) ())
+  in
+  checkb "idle sequencer parked" true (slept >= 1);
+  let n = 3_000 in
+  bursts ~n (Sequencer.submit seq);
+  checkb "every request delivered" true (within ~seconds:10. (fun () -> Atomic.get delivered = n));
+  Thread.delay idle_period;
+  checkb "stop of a parked sequencer returns within 1 s" true
+    (returns_within ~seconds:1. (fun () -> Sequencer.stop seq));
+  checkb "log is the submission order" true (Sequencer.log seq = Array.init n Fun.id);
+  if durable then checki "every request durable" (n - 1) (Sequencer.durable_watermark seq);
+  Option.iter Doradd_persist.Wal.close wal
+
+(* ------------------------------------------------------------------ *)
 (* Pipeline                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -819,6 +992,15 @@ let () =
           tc "deep chain, tiny queues" `Slow test_runtime_deep_chain_small_queues;
           QCheck_alcotest.to_alcotest prop_runtime_deterministic;
           QCheck_alcotest.to_alcotest prop_runtime_worker_count_invariant;
+        ] );
+      ( "park",
+        [
+          tc "runtime: idle, burst, shutdown" `Quick test_runtime_park_then_burst;
+          tc "sharded runtime: idle, burst, shutdown" `Quick test_sharded_park_then_burst;
+          tc "saturated runtime: poll, then park" `Quick test_runtime_saturated_polls;
+          tc "sequencer: idle, burst, stop" `Quick (test_sequencer_park_then_burst ~durable:false);
+          tc "durable sequencer: idle, burst, stop" `Quick
+            (test_sequencer_park_then_burst ~durable:true);
         ] );
       ( "pipeline",
         [

@@ -173,6 +173,35 @@ let test_cases_parallel_unfuzzed_equivalent () =
           (String.concat "; " (List.map Dst.Oracle.to_string fs)))
     Dst.Cases.all
 
+(* The park class alone: every case's consumers must sleep in the idle
+   gaps and wake for each burst, and the run must still equal serial.
+   Each gap parks at least one consumer; workers parked before the first
+   request are too few to reach that count on their own. *)
+let test_cases_park_class () =
+  let sleeps = Doradd_obs.Counters.counter "parker.sleep" in
+  let n = 48 and every = 4 in
+  let plan = { (P.quiet ~seed:5) with P.workers = 2; park_every = every; park_gap_us = 300 } in
+  List.iter
+    (fun (c : Dst.Cases.t) ->
+      let serial = c.serial ~seed:5 ~n in
+      let before = Doradd_obs.Counters.value sleeps in
+      Doradd_obs.Trace.arm ();
+      let parallel, _ =
+        Fun.protect ~finally:Doradd_obs.Trace.disarm (fun () ->
+            Dst.Harness.with_plan ~seed:5 plan (fun fuzz ->
+                c.parallel ~seed:5 ~n ~workers:2 ~queue_capacity:16 ~fuzz ~sanitize:false))
+      in
+      Doradd_obs.Trace.clear ();
+      let slept = Doradd_obs.Counters.value sleeps - before in
+      if slept < n / every then
+        Alcotest.failf "%s: %d consumer sleeps over %d idle gaps" c.name slept (n / every);
+      match Dst.Oracle.compare_runs ~serial ~parallel with
+      | [] -> ()
+      | fs ->
+        Alcotest.failf "%s: parked parallel diverged: %s" c.name
+          (String.concat "; " (List.map Dst.Oracle.to_string fs)))
+    Dst.Cases.all
+
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -195,7 +224,7 @@ let test_shrink_minimizes () =
   checkb "repro line is paste-ready" true
     (r.Dst.Shrink.command
     = "dune exec bin/dst.exe -- --replay 123 --case kv -n 32 --disable \
-       rotate,stall,prefetch,straggler");
+       rotate,stall,prefetch,straggler,park");
   checkb "budget respected" true (!calls <= 16)
 
 let test_shrink_budget_caps_reruns () =
@@ -281,6 +310,7 @@ let () =
         [
           slow "serial reference stable" test_cases_serial_stable;
           slow "unfuzzed parallel equivalent" test_cases_parallel_unfuzzed_equivalent;
+          slow "park class parks every case" test_cases_park_class;
         ] );
       ( "shrink",
         [

@@ -518,6 +518,21 @@ let test_loadgen_open_loop () =
         (status = Wire.status_ok && sresults.(stamp) = Some result))
     report.Net.Loadgen.replies
 
+(* An idle server must sleep, not spin: its sequencer, shard dispatchers
+   and workers park once their spin budget runs out.  [Unix.times] is
+   process-wide, and this process is otherwise idle while it sleeps. *)
+let test_idle_server_cpu () =
+  with_server kv_backend @@ fun _ ->
+  Thread.delay 0.1;
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
+  let c0 = cpu () and w0 = Unix.gettimeofday () in
+  Thread.delay 0.5;
+  let cores = (cpu () -. c0) /. (Unix.gettimeofday () -. w0) in
+  if cores >= 0.25 then Alcotest.failf "idle server burns %.2f cores (limit 0.25)" cores
+
 let () =
   Alcotest.run "net"
     [
@@ -561,5 +576,6 @@ let () =
           Alcotest.test_case "durable WAL = request log" `Quick
             test_durable_wal_matches_log;
           Alcotest.test_case "open-loop loadgen end to end" `Quick test_loadgen_open_loop;
+          Alcotest.test_case "idle server parks its domains" `Quick test_idle_server_cpu;
         ] );
     ]

@@ -295,6 +295,90 @@ let prop_mpmc_faults_are_refusals =
           end)
         script)
 
+(* ------------------------------------------------------------------ *)
+(* Parker: spin-then-park consumers across domains                     *)
+(* ------------------------------------------------------------------ *)
+
+module Obs = Doradd_obs
+
+let c_sleep = Obs.Counters.counter "parker.sleep"
+
+(* One producer domain, [consumers] consumer domains sharing one parker
+   (the runnable set's shape; one consumer is the dispatcher's).  Seeded
+   pauses of 0.1–0.5 ms, far past [Parker.spin_budget], make the
+   consumers park and wake over and over; consumer-side pauses fill the
+   queue so the producer meets backpressure too.  The main thread is a
+   watchdog: a lost wakeup fails the test instead of hanging it.  It
+   first tries to rescue the sleeper with notifies, so the domains can
+   be joined; a domain that still will not finish is left behind. *)
+let parker_stress ~consumers ~items () =
+  let q = Mpmc.create ~dummy:0 ~capacity:16 in
+  let p = Parker.create () in
+  let rng = Random.State.make [| 0x9a4c; consumers |] in
+  let pause () = if Random.State.int rng 1500 = 0 then 1e-4 *. float (1 + Random.State.int rng 5) else 0. in
+  let producer_pauses = Array.init items (fun _ -> pause ()) in
+  let consumer_pauses = Array.init consumers (fun _ -> Array.init items (fun _ -> pause ())) in
+  let taken = Atomic.make 0 in
+  let consumer c () =
+    let idle = Parker.idle p ~ready:(fun () -> Mpmc.length q > 0 || Atomic.get taken >= items) in
+    let out = Mpmc.make_out q in
+    let sum = ref 0 and last = ref (-1) and fifo = ref true and mine = ref 0 in
+    while Atomic.get taken < items do
+      if Mpmc.pop_into q out then begin
+        Parker.progress idle;
+        let v = out.Mpmc.value in
+        if v <= !last then fifo := false;
+        last := v;
+        sum := !sum + v;
+        Atomic.incr taken;
+        let d = consumer_pauses.(c).(!mine) in
+        incr mine;
+        if d > 0. then Thread.delay d
+      end
+      else Parker.pause idle
+    done;
+    (* the last item's taker wakes siblings parked on an empty queue *)
+    Parker.notify p;
+    (!sum, !fifo)
+  in
+  let before = Obs.Counters.value c_sleep in
+  Obs.Trace.arm ();
+  let cs = Array.init consumers (fun c -> Domain.spawn (consumer c)) in
+  let producer =
+    Domain.spawn (fun () ->
+        for i = 0 to items - 1 do
+          let d = producer_pauses.(i) in
+          if d > 0. then Thread.delay d;
+          Mpmc.push q i;
+          Parker.notify p
+        done)
+  in
+  let finished () = Atomic.get taken >= items in
+  let wait_for seconds tick =
+    let deadline = Unix.gettimeofday () +. seconds in
+    while (not (finished ())) && Unix.gettimeofday () < deadline do
+      tick ();
+      Thread.delay 0.01
+    done
+  in
+  wait_for 20. ignore;
+  let hung = not (finished ()) in
+  if hung then wait_for 1. (fun () -> Parker.notify p);
+  Obs.Trace.disarm ();
+  if hung then
+    Alcotest.failf "watchdog: a consumer slept through queued items (%d of %d taken)%s"
+      (Atomic.get taken) items
+      (if finished () then ", a notify rescued it" else "");
+  Domain.join producer;
+  let results = Array.map Domain.join cs in
+  checki "every item once" (items * (items - 1) / 2) (Array.fold_left (fun a (s, _) -> a + s) 0 results);
+  checkb "per-consumer order" true (Array.for_all snd results);
+  checkb "consumers parked" true (Obs.Counters.value c_sleep > before)
+
+let test_parker_one_consumer () = parker_stress ~consumers:1 ~items:100_000 ()
+
+let test_parker_two_consumers () = parker_stress ~consumers:2 ~items:100_000 ()
+
 let () =
   let slow name f = Alcotest.test_case name `Slow f in
   Alcotest.run "doradd queue stress"
@@ -312,6 +396,11 @@ let () =
           slow "3 producers, 1 consumer" test_mpmc_stress_3p1c;
           slow "1 producer, 3 consumers" test_mpmc_stress_1p3c;
           slow "fault hooks lose nothing" test_mpmc_faults_no_loss;
+        ] );
+      ( "park-stress",
+        [
+          slow "1 producer, 1 consumer, seeded pauses" test_parker_one_consumer;
+          slow "1 producer, 2 consumers, seeded pauses" test_parker_two_consumers;
         ] );
       ( "properties",
         [
